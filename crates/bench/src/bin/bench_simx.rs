@@ -3,8 +3,8 @@
 //! writes the measurements as machine-readable JSON — the simulation-kernel
 //! companion of `BENCH_runtime.json`.
 //!
-//! Three synthetic workload families stress the three structures the kernel
-//! refactor rebuilt, on a real Grid'5000 site:
+//! Four workload families run on a real Grid'5000 site (Lille). Three are
+//! synthetic and stress the three structures the kernel refactor rebuilt:
 //!
 //! * `wide-ready` — hundreds of independent jobs, no transfers: the
 //!   incremental ready set and the priority dispatch order dominate;
@@ -12,6 +12,13 @@
 //!   transfers: event-queue traffic plus route resolution dominate;
 //! * `contended-links` — few jobs, many large cross-cluster transfers: the
 //!   max-min fair flow network and its cached completion horizon dominate.
+//!
+//! The fourth, `fig3-concurrent`, is the concurrent schedule of one real
+//! Figure 3 scenario: the campaign's first draw (seed `0x5EED`) of 10 random
+//! PTGs on Lille under the Selfish strategy, allocated and mapped through
+//! the `ScheduleContext` exactly as a campaign cell is. It keeps hundreds of
+//! flows in flight on a handful of routes, the regime the figure campaigns
+//! spend their simulation time in.
 //!
 //! Both implementations run the *same* workloads; before any timing each
 //! family is checked bit-for-bit (makespans) so the speedup column never
@@ -24,7 +31,10 @@
 //! cargo run --release -p mcsched-bench --bin bench_simx -- --smoke
 //! ```
 
+use mcsched_core::{ConstraintStrategy, ScheduleContext, SchedulerConfig};
+use mcsched_exp::scenario::generate_scenarios;
 use mcsched_platform::{grid5000, Platform, ProcSet};
+use mcsched_ptg::gen::PtgClass;
 use mcsched_simx::{reference_execute, Engine, SimJob, SimWorkload};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -101,7 +111,8 @@ fn push_job(w: &mut SimWorkload, rng: &mut ChaCha8Rng, platform: &Platform, max_
     w.add_job(job);
 }
 
-/// Builds one workload of the named family at roughly `n` jobs.
+/// Builds one workload of the named family at roughly `n` jobs (`n` PTGs
+/// for `fig3-concurrent`).
 fn build_family(family: &str, n: usize, platform: &Platform, seed: u64) -> SimWorkload {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut w = SimWorkload::new();
@@ -141,9 +152,33 @@ fn build_family(family: &str, n: usize, platform: &Platform, seed: u64) -> SimWo
                 }
             }
         }
+        "fig3-concurrent" => return fig3_concurrent(n, platform),
         other => unreachable!("unknown family {other}"),
     }
     w
+}
+
+/// The concurrent workload of the first Figure 3 draw of `num_ptgs` random
+/// PTGs on `platform`, scheduled under the Selfish strategy with the base
+/// allocation and mapping policies.
+fn fig3_concurrent(num_ptgs: usize, platform: &Platform) -> SimWorkload {
+    let scenario = generate_scenarios(PtgClass::Random, num_ptgs, 1, 0x5EED)
+        .into_iter()
+        .find(|s| s.platform.name() == platform.name())
+        .expect("every Grid'5000 site has a scenario");
+    let workload = scenario.workload();
+    let ctx =
+        ScheduleContext::for_workload(&scenario.platform, &workload, SchedulerConfig::default());
+    let allocations = ctx.allocations_for(
+        ConstraintStrategy::Selfish.to_policy().as_ref(),
+        ctx.base_allocation().as_ref(),
+    );
+    ctx.map_with(
+        ctx.base_mapping().as_ref(),
+        &allocations,
+        ctx.release_times(),
+    )
+    .workload
 }
 
 struct Measurement {
@@ -166,12 +201,14 @@ fn main() {
             ("wide-ready", 24),
             ("layered-dag", 24),
             ("contended-links", 16),
+            ("fig3-concurrent", 4),
         ]
     } else {
         &[
             ("wide-ready", 256),
             ("layered-dag", 256),
             ("contended-links", 128),
+            ("fig3-concurrent", 10),
         ]
     };
     eprintln!(

@@ -9,18 +9,24 @@
 //! the shared-switch sites exhibit more contention than the
 //! per-cluster-switch sites.
 //!
-//! Two implementations live here:
+//! [`max_min_fair_rates`] is the pure, allocating specification of that
+//! computation, kept as the reference the network is tested against (and
+//! reused verbatim by the frozen engine in [`crate::reference`]).
+//! [`FlowNetwork`] is the engine's network. It fills **route classes**, not
+//! flows: flows crossing the same links get the same rate, and a site has a
+//! handful of routes (one intra link per cluster, one uplink–fabric–uplink
+//! path per cluster pair) while a contended schedule keeps hundreds of flows
+//! in flight.
 //!
-//! * [`max_min_fair_rates`] — the pure, allocating specification of the
-//!   progressive-filling computation. Kept as the reference the network is
-//!   tested against (and reused verbatim by the frozen engine in
-//!   [`crate::reference`]);
-//! * [`FlowNetwork`] — the engine's network. It stores flows
-//!   structure-of-arrays with inline link lists (site routes cross at most
-//!   [`MAX_ROUTE_LINKS`] links), reuses internal scratch buffers so that
-//!   starting/completing a flow allocates nothing once warm, and caches the
-//!   next-completion horizon so [`FlowNetwork::next_completion`] is O(1)
-//!   between changes.
+//! Class filling yields the specification's rates bit for bit. A round
+//! freezes the flows crossing the bottleneck at one `share` and applies
+//! `c = (c - share).max(0.0)` to every link each of them crosses. A link's
+//! capacity is touched only by its own subtractions, so applying the step
+//! once per frozen flow crossing the link gives the same bits in any order.
+//! User counts are sums of class counts, so every share and bottleneck
+//! choice (smallest share, ties to the lowest link index) matches too. A
+//! link left with no unfrozen user after a round skips that round's
+//! subtractions: its capacity is never read again in that recomputation.
 
 use crate::resources::LinkId;
 
@@ -43,7 +49,7 @@ pub struct Flow {
 /// returned vector is indexed like `flows`.
 ///
 /// This is the executable specification: [`FlowNetwork`] implements the
-/// same computation over its flat storage without allocating, and its tests
+/// same computation over route classes without allocating, and its tests
 /// check the two agree bit for bit.
 pub fn max_min_fair_rates(capacities: &[f64], flows: &[Flow]) -> Vec<f64> {
     let mut rates = vec![f64::INFINITY; flows.len()];
@@ -103,32 +109,60 @@ pub fn max_min_fair_rates(capacities: &[f64], flows: &[Flow]) -> Vec<f64> {
     rates
 }
 
+/// Flows crossing the same links in the same order.
+#[derive(Debug, Clone, Copy)]
+struct RouteClass {
+    /// Links crossed (first `num_links` entries are valid).
+    links: [LinkId; MAX_ROUTE_LINKS],
+    num_links: u8,
+    /// In-flight flows on the route.
+    count: usize,
+    /// Rate (bytes/s) of each of them, as of the last recompute.
+    rate: f64,
+}
+
+impl RouteClass {
+    fn links(&self) -> &[LinkId] {
+        &self.links[..self.num_links as usize]
+    }
+}
+
+/// An in-flight transfer: the caller's key, the index of its route class
+/// and the bytes it has left.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    key: usize,
+    class: usize,
+    remaining: f64,
+}
+
 /// The set of in-flight transfers, advancing them in simulated time under
 /// max-min fair sharing.
 ///
-/// Flows are stored structure-of-arrays with inline link lists; the fair-rate
-/// recomputation runs over reusable scratch buffers, so the per-event cost
-/// allocates nothing once the buffers are warm. The next-completion horizon
+/// Each distinct route is a class holding its links, its count of in-flight
+/// flows and their common rate; a flow stores only its class index. The
+/// class table and the scratch buffers survive [`FlowNetwork::reset`] (an
+/// engine's network always serves the same capacities), so starting and
+/// completing flows allocates nothing once warm. The next-completion horizon
 /// is cached after every change, making [`FlowNetwork::next_completion`]
 /// constant-time (the engine polls it several times per event step).
 #[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
     capacities: Vec<f64>,
-    /// Caller keys, in flow start order.
-    keys: Vec<usize>,
-    /// Links crossed by each flow (first `num_links[i]` entries are valid).
-    links: Vec<[LinkId; MAX_ROUTE_LINKS]>,
-    num_links: Vec<u8>,
-    /// Bytes remaining per flow.
-    remaining: Vec<f64>,
-    rates: Vec<f64>,
+    /// Every route seen so far.
+    classes: Vec<RouteClass>,
+    /// In-flight flows, in start order.
+    flows: Vec<InFlight>,
     last_update: f64,
     /// Cached `(time, key)` of the earliest-finishing flow; valid until the
     /// flow set changes (rates and residuals only move on start/complete).
     next_done: Option<(f64, usize)>,
-    // Scratch for the progressive-filling computation, reused across calls.
+    // Scratch for the progressive-filling computation, reused across calls:
+    // remaining capacity, unfrozen flows and flows frozen in the current
+    // round per link, frozen flag per class.
     scratch_capacity: Vec<f64>,
     scratch_users: Vec<usize>,
+    scratch_frozen_users: Vec<usize>,
     scratch_frozen: Vec<bool>,
 }
 
@@ -143,23 +177,20 @@ impl FlowNetwork {
 
     /// Number of in-flight flows.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.flows.len()
     }
 
     /// Whether no flow is in flight.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.flows.is_empty()
     }
 
-    /// Drops all flows and rewinds the clock to 0, keeping the capacities
-    /// and every internal buffer's storage (so a reused network allocates
-    /// nothing on its next run).
+    /// Drops all flows and rewinds the clock to 0, keeping the capacities,
+    /// the route classes and every internal buffer's storage (so a reused
+    /// network allocates nothing on its next run).
     pub fn reset(&mut self) {
-        self.keys.clear();
-        self.links.clear();
-        self.num_links.clear();
-        self.remaining.clear();
-        self.rates.clear();
+        self.flows.clear();
+        self.classes.iter_mut().for_each(|c| c.count = 0);
         self.last_update = 0.0;
         self.next_done = None;
     }
@@ -168,49 +199,38 @@ impl FlowNetwork {
     fn advance(&mut self, now: f64) {
         let dt = now - self.last_update;
         if dt > 0.0 {
-            for (i, rem) in self.remaining.iter_mut().enumerate() {
-                let rate = self.rates.get(i).copied().unwrap_or(0.0);
+            for f in &mut self.flows {
+                let rate = self.classes[f.class].rate;
                 if rate.is_finite() {
-                    *rem = (*rem - rate * dt).max(0.0);
+                    f.remaining = (f.remaining - rate * dt).max(0.0);
                 } else {
-                    *rem = 0.0;
+                    f.remaining = 0.0;
                 }
             }
         }
         self.last_update = now;
     }
 
-    /// Progressive filling over the flat storage — the same computation as
+    /// Progressive filling over the route classes — the same computation as
     /// [`max_min_fair_rates`], without allocating.
     fn recompute(&mut self) {
-        let nf = self.keys.len();
-        self.rates.clear();
-        self.rates.resize(nf, f64::INFINITY);
-        if nf == 0 {
-            return;
-        }
-
-        self.scratch_capacity.clear();
-        self.scratch_capacity.extend_from_slice(&self.capacities);
+        self.scratch_capacity.clone_from(&self.capacities);
+        self.scratch_users.clear();
+        self.scratch_users.resize(self.capacities.len(), 0);
+        self.scratch_frozen_users.clear();
+        self.scratch_frozen_users.resize(self.capacities.len(), 0);
         self.scratch_frozen.clear();
-        self.scratch_frozen.resize(nf, false);
-        for i in 0..nf {
-            if self.num_links[i] == 0 {
-                self.scratch_frozen[i] = true;
+        for class in &self.classes {
+            // A class with no links is never constrained: its rate stays
+            // infinite.
+            self.scratch_frozen
+                .push(class.count == 0 || class.num_links == 0);
+            for &l in class.links() {
+                self.scratch_users[l] += class.count;
             }
         }
 
         loop {
-            self.scratch_users.clear();
-            self.scratch_users.resize(self.capacities.len(), 0);
-            for i in 0..nf {
-                if self.scratch_frozen[i] {
-                    continue;
-                }
-                for &l in &self.links[i][..self.num_links[i] as usize] {
-                    self.scratch_users[l] += 1;
-                }
-            }
             let mut bottleneck: Option<(LinkId, f64)> = None;
             for (l, &u) in self.scratch_users.iter().enumerate() {
                 if u == 0 {
@@ -224,18 +244,28 @@ impl FlowNetwork {
                 }
             }
             let Some((bl, share)) = bottleneck else {
-                break; // every flow is frozen
+                break; // every class is frozen
             };
-            for i in 0..nf {
-                if self.scratch_frozen[i]
-                    || !self.links[i][..self.num_links[i] as usize].contains(&bl)
-                {
+            for (class, frozen) in self.classes.iter_mut().zip(&mut self.scratch_frozen) {
+                if *frozen || !class.links().contains(&bl) {
                     continue;
                 }
-                self.rates[i] = share;
-                self.scratch_frozen[i] = true;
-                for &l in &self.links[i][..self.num_links[i] as usize] {
-                    self.scratch_capacity[l] = (self.scratch_capacity[l] - share).max(0.0);
+                class.rate = share;
+                *frozen = true;
+                for &l in class.links() {
+                    self.scratch_users[l] -= class.count;
+                    self.scratch_frozen_users[l] += class.count;
+                }
+            }
+            // Subtract the frozen flows' consumption, one flow at a time,
+            // from the links that still have unfrozen users.
+            for (l, frozen_users) in self.scratch_frozen_users.iter_mut().enumerate() {
+                let k = std::mem::take(frozen_users);
+                if self.scratch_users[l] > 0 {
+                    let capacity = &mut self.scratch_capacity[l];
+                    for _ in 0..k {
+                        *capacity = (*capacity - share).max(0.0);
+                    }
                 }
             }
         }
@@ -246,19 +276,18 @@ impl FlowNetwork {
     /// the cache stays valid between them.
     fn refresh_next_done(&mut self) {
         let mut best: Option<(f64, usize)> = None;
-        for (i, &key) in self.keys.iter().enumerate() {
-            let rate = self.rates.get(i).copied().unwrap_or(0.0);
-            let rem = self.remaining[i];
-            let finish = if rem <= 0.0 || rate.is_infinite() {
+        for f in &self.flows {
+            let rate = self.classes[f.class].rate;
+            let finish = if f.remaining <= 0.0 || rate.is_infinite() {
                 self.last_update
             } else if rate <= 0.0 {
                 f64::INFINITY
             } else {
-                self.last_update + rem / rate
+                self.last_update + f.remaining / rate
             };
             match best {
-                None => best = Some((finish, key)),
-                Some((t, _)) if finish < t => best = Some((finish, key)),
+                None => best = Some((finish, f.key)),
+                Some((t, _)) if finish < t => best = Some((finish, f.key)),
                 _ => {}
             }
         }
@@ -273,13 +302,32 @@ impl FlowNetwork {
     /// Panics if the route crosses more than [`MAX_ROUTE_LINKS`] links (site
     /// routes never do).
     pub fn start(&mut self, now: f64, key: usize, links: &[LinkId], bytes: f64) {
+        assert!(
+            links.len() <= MAX_ROUTE_LINKS,
+            "route crosses {} links; a flow may cross at most {MAX_ROUTE_LINKS}",
+            links.len()
+        );
         self.advance(now);
-        let mut inline = [0usize; MAX_ROUTE_LINKS];
-        inline[..links.len()].copy_from_slice(links);
-        self.keys.push(key);
-        self.links.push(inline);
-        self.num_links.push(links.len() as u8);
-        self.remaining.push(bytes.max(0.0));
+        let class = match self.classes.iter().position(|c| c.links() == links) {
+            Some(class) => class,
+            None => {
+                let mut inline = [0; MAX_ROUTE_LINKS];
+                inline[..links.len()].copy_from_slice(links);
+                self.classes.push(RouteClass {
+                    links: inline,
+                    num_links: links.len() as u8,
+                    count: 0,
+                    rate: f64::INFINITY,
+                });
+                self.classes.len() - 1
+            }
+        };
+        self.classes[class].count += 1;
+        self.flows.push(InFlight {
+            key,
+            class,
+            remaining: bytes.max(0.0),
+        });
         self.recompute();
         self.refresh_next_done();
     }
@@ -294,21 +342,13 @@ impl FlowNetwork {
     /// recomputes the rates of the survivors).
     pub fn complete(&mut self, now: f64, key: usize) {
         self.advance(now);
-        let mut w = 0usize;
-        for i in 0..self.keys.len() {
-            if self.keys[i] == key {
-                continue;
+        let classes = &mut self.classes;
+        self.flows.retain(|f| {
+            if f.key == key {
+                classes[f.class].count -= 1;
             }
-            self.keys[w] = self.keys[i];
-            self.links[w] = self.links[i];
-            self.num_links[w] = self.num_links[i];
-            self.remaining[w] = self.remaining[i];
-            w += 1;
-        }
-        self.keys.truncate(w);
-        self.links.truncate(w);
-        self.num_links.truncate(w);
-        self.remaining.truncate(w);
+            f.key != key
+        });
         self.recompute();
         self.refresh_next_done();
     }
@@ -399,20 +439,95 @@ mod tests {
             vec![1, 3],
         ];
         let mut net = FlowNetwork::new(capacities.clone());
-        let mut spec_flows = Vec::new();
         for (i, links) in link_sets.iter().enumerate() {
-            let bytes = 1.0e8 * (i + 1) as f64;
-            net.start(0.0, i, links, bytes);
-            spec_flows.push(Flow {
-                links: links.clone(),
-                remaining: bytes,
-            });
+            net.start(0.0, i, links, 1.0e8 * (i + 1) as f64);
         }
-        let spec = max_min_fair_rates(&capacities, &spec_flows);
-        assert_eq!(net.rates.len(), spec.len());
-        for (i, (&got, &want)) in net.rates.iter().zip(spec.iter()).enumerate() {
+        assert_matches_specification(&net, &capacities);
+    }
+
+    /// Asserts that every in-flight flow's rate equals, bit for bit, the
+    /// rate [`max_min_fair_rates`] gives it over the same flows.
+    fn assert_matches_specification(net: &FlowNetwork, capacities: &[f64]) {
+        let spec_flows: Vec<Flow> = net
+            .flows
+            .iter()
+            .map(|f| Flow {
+                links: net.classes[f.class].links().to_vec(),
+                remaining: f.remaining,
+            })
+            .collect();
+        let spec = max_min_fair_rates(capacities, &spec_flows);
+        for (i, (f, &want)) in net.flows.iter().zip(&spec).enumerate() {
+            let got = net.classes[f.class].rate;
             assert_eq!(got.to_bits(), want.to_bits(), "flow {i}: {got} vs {want}");
         }
+    }
+
+    #[test]
+    fn route_classes_match_the_specification_under_random_churn() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        // A Grid'5000-shaped site with 4 clusters: link 2c is cluster c's
+        // intra link, 2c + 1 its uplink, 8 the shared fabric. Cluster 3's
+        // intra link has zero capacity. Both fabrics are covered: a shared
+        // gigabit switch and a 10 Gbit/s backbone.
+        let gigabit: f64 = 125.0e6;
+        for fabric in [gigabit, 10.0 * gigabit] {
+            let mut capacities = vec![gigabit; 8];
+            capacities[6] = 0.0;
+            capacities.push(fabric);
+            // 16 routes: local, each intra link, and the inter-cluster
+            // paths in both directions (the last one left out).
+            let mut routes: Vec<Vec<LinkId>> = vec![vec![]];
+            routes.extend((0..4).map(|c| vec![2 * c]));
+            for a in 0..4 {
+                for b in (0..4).filter(|&b| b != a) {
+                    routes.push(vec![2 * a + 1, 8, 2 * b + 1]);
+                }
+            }
+            routes.truncate(16);
+
+            let mut rng = ChaCha8Rng::seed_from_u64(fabric.to_bits());
+            let mut net = FlowNetwork::new(capacities.clone());
+            let mut in_flight: Vec<usize> = Vec::new();
+            let mut now = 0.0;
+            let mut peak = 0;
+            for key in 0..2000 {
+                let target = if key < 1000 { 400 } else { 40 };
+                if in_flight.len() < target && rng.gen_bool(0.6) {
+                    now += [0.0, 0.0, 1.0e-3, 0.05][rng.gen_range(0..4)];
+                    let route = &routes[rng.gen_range(0..routes.len())];
+                    let bytes = [0.0, 1.0e3, rng.gen_range(1.0e6..5.0e8)][rng.gen_range(0..3)];
+                    net.start(now, key, route, bytes);
+                    in_flight.push(key);
+                } else if !in_flight.is_empty() {
+                    // Mostly the engine's pattern (complete the earliest
+                    // finisher at its finish time), sometimes an arbitrary
+                    // flow now; starved flows never finish on their own.
+                    let done = match net.next_completion() {
+                        Some((t, k)) if t.is_finite() && rng.gen_bool(0.8) => {
+                            now = t;
+                            k
+                        }
+                        _ => in_flight[rng.gen_range(0..in_flight.len())],
+                    };
+                    net.complete(now, done);
+                    in_flight.retain(|&k| k != done);
+                }
+                assert_eq!(net.len(), in_flight.len());
+                peak = peak.max(net.len());
+                assert_matches_specification(&net, &capacities);
+            }
+            assert!(peak >= 200, "only {peak} flows in flight at once");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a flow may cross at most")]
+    fn start_rejects_routes_longer_than_the_inline_limit() {
+        let mut net = FlowNetwork::new(vec![100.0; 4]);
+        net.start(0.0, 1, &[0, 1, 2, 3], 100.0);
     }
 
     #[test]
