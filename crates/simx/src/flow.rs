@@ -110,21 +110,14 @@ pub fn max_min_fair_rates(capacities: &[f64], flows: &[Flow]) -> Vec<f64> {
 }
 
 /// Flows crossing the same links in the same order.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct RouteClass {
-    /// Links crossed (first `num_links` entries are valid).
-    links: [LinkId; MAX_ROUTE_LINKS],
-    num_links: u8,
+    /// Links crossed.
+    links: Vec<LinkId>,
     /// In-flight flows on the route.
     count: usize,
     /// Rate (bytes/s) of each of them, as of the last recompute.
     rate: f64,
-}
-
-impl RouteClass {
-    fn links(&self) -> &[LinkId] {
-        &self.links[..self.num_links as usize]
-    }
 }
 
 /// An in-flight transfer: the caller's key, the index of its route class
@@ -142,10 +135,10 @@ struct InFlight {
 /// Each distinct route is a class holding its links, its count of in-flight
 /// flows and their common rate; a flow stores only its class index. The
 /// class table and the scratch buffers survive [`FlowNetwork::reset`] (an
-/// engine's network always serves the same capacities), so starting and
-/// completing flows allocates nothing once warm. The next-completion horizon
-/// is cached after every change, making [`FlowNetwork::next_completion`]
-/// constant-time (the engine polls it several times per event step).
+/// engine's network always serves the same capacities), so only the first
+/// flow on a new route allocates. The next-completion horizon is cached
+/// after every change, making [`FlowNetwork::next_completion`] constant-time
+/// (the engine polls it several times per event step).
 #[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
     capacities: Vec<f64>,
@@ -224,8 +217,8 @@ impl FlowNetwork {
             // A class with no links is never constrained: its rate stays
             // infinite.
             self.scratch_frozen
-                .push(class.count == 0 || class.num_links == 0);
-            for &l in class.links() {
+                .push(class.count == 0 || class.links.is_empty());
+            for &l in &class.links {
                 self.scratch_users[l] += class.count;
             }
         }
@@ -247,12 +240,12 @@ impl FlowNetwork {
                 break; // every class is frozen
             };
             for (class, frozen) in self.classes.iter_mut().zip(&mut self.scratch_frozen) {
-                if *frozen || !class.links().contains(&bl) {
+                if *frozen || !class.links.contains(&bl) {
                     continue;
                 }
                 class.rate = share;
                 *frozen = true;
-                for &l in class.links() {
+                for &l in &class.links {
                     self.scratch_users[l] -= class.count;
                     self.scratch_frozen_users[l] += class.count;
                 }
@@ -308,14 +301,11 @@ impl FlowNetwork {
             links.len()
         );
         self.advance(now);
-        let class = match self.classes.iter().position(|c| c.links() == links) {
+        let class = match self.classes.iter().position(|c| c.links == links) {
             Some(class) => class,
             None => {
-                let mut inline = [0; MAX_ROUTE_LINKS];
-                inline[..links.len()].copy_from_slice(links);
                 self.classes.push(RouteClass {
-                    links: inline,
-                    num_links: links.len() as u8,
+                    links: links.to_vec(),
                     count: 0,
                     rate: f64::INFINITY,
                 });
@@ -357,6 +347,7 @@ impl FlowNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn single_flow_gets_full_capacity() {
@@ -442,24 +433,35 @@ mod tests {
         for (i, links) in link_sets.iter().enumerate() {
             net.start(0.0, i, links, 1.0e8 * (i + 1) as f64);
         }
-        assert_matches_specification(&net, &capacities);
+        let expected: BTreeMap<usize, Vec<LinkId>> = link_sets.into_iter().enumerate().collect();
+        assert_matches_specification(&net, &capacities, &expected);
     }
 
-    /// Asserts that every in-flight flow's rate equals, bit for bit, the
-    /// rate [`max_min_fair_rates`] gives it over the same flows.
-    fn assert_matches_specification(net: &FlowNetwork, capacities: &[f64]) {
-        let spec_flows: Vec<Flow> = net
-            .flows
-            .iter()
-            .map(|f| Flow {
-                links: net.classes[f.class].links().to_vec(),
-                remaining: f.remaining,
+    /// Asserts that the network holds exactly the `expected` flows (key →
+    /// route) and that each one's rate equals, bit for bit, the rate
+    /// [`max_min_fair_rates`] gives it over the expected routes.
+    fn assert_matches_specification(
+        net: &FlowNetwork,
+        capacities: &[f64],
+        expected: &BTreeMap<usize, Vec<LinkId>>,
+    ) {
+        let mut keys: Vec<usize> = net.flows.iter().map(|f| f.key).collect();
+        keys.sort_unstable();
+        assert!(keys.iter().eq(expected.keys()), "in flight: {keys:?}");
+        // Rates do not depend on the bytes left.
+        let spec_flows: Vec<Flow> = expected
+            .values()
+            .map(|links| Flow {
+                links: links.clone(),
+                remaining: 1.0,
             })
             .collect();
         let spec = max_min_fair_rates(capacities, &spec_flows);
-        for (i, (f, &want)) in net.flows.iter().zip(&spec).enumerate() {
+        assert_eq!(spec.len(), net.len());
+        for (&key, &want) in expected.keys().zip(&spec) {
+            let f = net.flows.iter().find(|f| f.key == key).unwrap();
             let got = net.classes[f.class].rate;
-            assert_eq!(got.to_bits(), want.to_bits(), "flow {i}: {got} vs {want}");
+            assert_eq!(got.to_bits(), want.to_bits(), "flow {key}: {got} vs {want}");
         }
     }
 
@@ -490,7 +492,7 @@ mod tests {
 
             let mut rng = ChaCha8Rng::seed_from_u64(fabric.to_bits());
             let mut net = FlowNetwork::new(capacities.clone());
-            let mut in_flight: Vec<usize> = Vec::new();
+            let mut in_flight: BTreeMap<usize, Vec<LinkId>> = BTreeMap::new();
             let mut now = 0.0;
             let mut peak = 0;
             for key in 0..2000 {
@@ -500,7 +502,7 @@ mod tests {
                     let route = &routes[rng.gen_range(0..routes.len())];
                     let bytes = [0.0, 1.0e3, rng.gen_range(1.0e6..5.0e8)][rng.gen_range(0..3)];
                     net.start(now, key, route, bytes);
-                    in_flight.push(key);
+                    in_flight.insert(key, route.clone());
                 } else if !in_flight.is_empty() {
                     // Mostly the engine's pattern (complete the earliest
                     // finisher at its finish time), sometimes an arbitrary
@@ -510,14 +512,16 @@ mod tests {
                             now = t;
                             k
                         }
-                        _ => in_flight[rng.gen_range(0..in_flight.len())],
+                        _ => *in_flight
+                            .keys()
+                            .nth(rng.gen_range(0..in_flight.len()))
+                            .unwrap(),
                     };
                     net.complete(now, done);
-                    in_flight.retain(|&k| k != done);
+                    in_flight.remove(&done);
                 }
-                assert_eq!(net.len(), in_flight.len());
                 peak = peak.max(net.len());
-                assert_matches_specification(&net, &capacities);
+                assert_matches_specification(&net, &capacities, &in_flight);
             }
             assert!(peak >= 200, "only {peak} flows in flight at once");
         }
@@ -525,7 +529,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "a flow may cross at most")]
-    fn start_rejects_routes_longer_than_the_inline_limit() {
+    fn start_rejects_routes_longer_than_max_route_links() {
         let mut net = FlowNetwork::new(vec![100.0; 4]);
         net.start(0.0, 1, &[0, 1, 2, 3], 100.0);
     }
