@@ -271,26 +271,6 @@ impl ConcurrentScheduler {
         self.schedule_in(&self.workload_context(platform, &workload))
     }
 
-    /// Schedules the PTGs with explicit per-application submission times.
-    ///
-    /// # Errors
-    ///
-    /// See [`ConcurrentScheduler::schedule`]; additionally
-    /// [`SchedError::InvalidConfig`] when the slice lengths differ.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a `Workload::released(..)` and call `schedule` instead"
-    )]
-    pub fn schedule_released(
-        &self,
-        platform: &Platform,
-        ptgs: &[Ptg],
-        release_times: &[f64],
-    ) -> Result<ConcurrentRun, SchedError> {
-        let workload = Workload::released(ptgs.to_vec(), release_times.to_vec())?;
-        self.schedule(platform, workload)
-    }
-
     /// Schedules the context's applications (at the context's release times)
     /// through the context's caches.
     ///
@@ -704,25 +684,6 @@ mod tests {
         // its makespan should not be worse than in the simultaneous case.
         assert!(staggered.apps[1].makespan <= together.apps[1].makespan * 1.05 + 1e-6);
         assert!(staggered.global_makespan >= 1000.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_schedule_released_matches_workload_path() {
-        let platform = grid5000::lille();
-        let apps = ptgs(2, 6);
-        let scheduler = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare);
-        let via_shim = scheduler
-            .schedule_released(&platform, &apps, &[0.0, 500.0])
-            .unwrap();
-        let via_workload = scheduler
-            .schedule(
-                &platform,
-                Workload::released(apps.clone(), vec![0.0, 500.0]).unwrap(),
-            )
-            .unwrap();
-        assert_eq!(via_shim.global_makespan, via_workload.global_makespan);
-        assert_eq!(via_shim.apps, via_workload.apps);
     }
 
     #[test]

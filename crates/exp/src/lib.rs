@@ -37,9 +37,7 @@
 //! from — the content-addressed cell cache of `mcsched-runtime` (see
 //! [`cells`]): re-runs skip finished work byte-identically, interrupted
 //! runs resume from completed shards (`--no-resume` starts cold), and
-//! `--progress` narrates data points on stderr. The deprecated [`fanout`]
-//! module preserves the legacy throwaway-scope executor solely as the
-//! `bench_runtime` baseline.
+//! `--progress` narrates data points on stderr.
 //!
 //! Point estimates at 100 runs per cell are too noisy to assert the paper's
 //! strict orderings on, so both harnesses run **paired replications**: all
@@ -57,7 +55,6 @@
 pub mod campaign;
 pub mod cells;
 pub mod cli;
-pub mod fanout;
 pub mod mu_sweep;
 pub mod report;
 pub mod scenario;

@@ -200,13 +200,27 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a valid &str).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8".to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
+            Some(&b) if b < 0x80 => {
+                out.push(char::from(b));
+                *pos += 1;
+            }
+            Some(&b) => {
+                // Decode one multi-byte UTF-8 scalar from at most 4 bytes:
+                // validating the whole remaining input here would make
+                // parsing quadratic in the string length.
+                let len = match b {
+                    0xC0..=0xDF => 2,
+                    0xE0..=0xEF => 3,
+                    0xF0..=0xF7 => 4,
+                    _ => return Err(format!("invalid utf-8 at byte {pos}")),
+                };
+                let c = bytes
+                    .get(*pos..*pos + len)
+                    .and_then(|s| std::str::from_utf8(s).ok())
+                    .and_then(|s| s.chars().next())
+                    .ok_or_else(|| format!("invalid utf-8 at byte {pos}"))?;
                 out.push(c);
-                *pos += c.len_utf8();
+                *pos += len;
             }
         }
     }
@@ -291,6 +305,17 @@ mod tests {
     fn unicode_escapes_and_raw_utf8_parse() {
         let v = JsonValue::parse("\"caf\\u00e9 µ\"").unwrap();
         assert_eq!(v.as_str(), Some("café µ"));
+    }
+
+    #[test]
+    fn long_multi_byte_strings_parse() {
+        // Two-, three- and four-byte scalars, repeated far past any window a
+        // bounded decoder could look at.
+        let text = "µ€𝄞a".repeat(50_000);
+        let v = JsonValue::parse(&format!("{{\"detail\": \"{text}\"}}")).unwrap();
+        let parsed = v.get("detail").and_then(JsonValue::as_str).unwrap();
+        assert_eq!(parsed.chars().count(), 200_000);
+        assert_eq!(parsed, text);
     }
 
     #[test]

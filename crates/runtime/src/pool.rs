@@ -1,10 +1,10 @@
 //! A persistent work-stealing worker pool.
 //!
-//! The legacy `mcsched_exp::fanout` executor spawned a fresh
-//! `std::thread::scope` per fan-out call and funnelled every result through
-//! one global mutex — and, because scoped workers cannot outlive the call,
-//! an inner fan-out (per-scenario, per-policy) had to serialize. This pool
-//! fixes all three:
+//! A fan-out that spawns a fresh `std::thread::scope` per call pays for
+//! thread creation every time, tends to funnel results through one global
+//! mutex and — because scoped workers cannot outlive the call — has to
+//! serialize an inner fan-out (per-scenario, per-policy). This pool avoids
+//! all three:
 //!
 //! * **persistent workers** — created once per worker count (see
 //!   [`pool_for`]) and reused by every campaign, replication and benchmark
@@ -25,8 +25,8 @@
 //! `Arc`, not borrows); the payoff is that nothing here can corrupt memory
 //! no matter how the scheduling races. Results are always collected in
 //! input-index order, so the output of a fan-out never depends on thread
-//! interleaving — the same deterministic-order contract the legacy executor
-//! had, now verified at 1/2/8 workers by the determinism test tier.
+//! interleaving, a contract the determinism test tier checks at 1/2/8
+//! workers.
 //!
 //! Panics propagate: the first payload panicking inside a fan-out is
 //! re-raised from [`Pool::run_indexed`] on the caller's thread, after every
@@ -492,11 +492,10 @@ pub fn pool_for(threads: usize) -> &'static Pool {
 }
 
 /// Runs `f(0..count)` with at most `resolve_threads(threads)` workers
-/// (`0` = one per core) and returns the results in input-index order: the
-/// drop-in replacement for the deprecated `mcsched_exp::fanout::run_indexed`
-/// with three differences — the workers are persistent, tasks may nest
-/// (`f` may itself call [`run_indexed`]), and closures capture their
-/// environment by `Arc`/value (`'static`) rather than by borrow.
+/// (`0` = one per core) and returns the results in input-index order. The
+/// workers are persistent, tasks may nest (`f` may itself call
+/// [`run_indexed`]), and closures capture their environment by `Arc`/value
+/// (`'static`) rather than by borrow.
 ///
 /// `threads <= 1` (after resolution) or `count <= 1` runs strictly
 /// sequentially on the calling thread. A nested call from inside a pool

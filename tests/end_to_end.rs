@@ -238,3 +238,76 @@ fn strassen_width_strategies_degenerate_to_equal_share() {
         assert!((es[i] - wps_width[i]).abs() < 1e-12);
     }
 }
+
+#[test]
+fn engine_matches_reference_on_a_real_fig3_concurrent_schedule() {
+    // The concurrent schedule of one real Figure 3 cell: the first 0x5EED
+    // draw of 10 random PTGs on Lille under Selfish, built the way the
+    // campaign builds it. Many flows share the site's links here, which the
+    // synthetic differential families do not exercise at this scale.
+    let scenario = mcsched::exp::scenario::generate_scenarios(PtgClass::Random, 10, 1, 0x5EED)
+        .into_iter()
+        .find(|s| s.platform.name() == grid5000::lille().name())
+        .expect("every Grid'5000 site has a scenario");
+    let workload = scenario.workload();
+    let ctx =
+        ScheduleContext::for_workload(&scenario.platform, &workload, SchedulerConfig::default());
+    let allocations = ctx.allocations_for(
+        ConstraintStrategy::Selfish.to_policy().as_ref(),
+        ctx.base_allocation().as_ref(),
+    );
+    let sim = ctx
+        .map_with(
+            ctx.base_mapping().as_ref(),
+            &allocations,
+            ctx.release_times(),
+        )
+        .workload;
+
+    let fast = Engine::new(&scenario.platform).execute(&sim).unwrap();
+    let reference = mcsched::simx::reference_execute(&scenario.platform, &sim).unwrap();
+    assert_eq!(
+        fast.makespan.to_bits(),
+        reference.makespan.to_bits(),
+        "makespan differs: {} vs {}",
+        fast.makespan,
+        reference.makespan
+    );
+    assert_eq!(fast.trace.jobs.len(), reference.trace.jobs.len());
+    for (j, (a, b)) in fast
+        .trace
+        .jobs
+        .iter()
+        .zip(&reference.trace.jobs)
+        .enumerate()
+    {
+        let (a, b) = (a.as_ref().expect("job ran"), b.as_ref().expect("job ran"));
+        assert_eq!(a.start.to_bits(), b.start.to_bits(), "job {j} start");
+        assert_eq!(a.finish.to_bits(), b.finish.to_bits(), "job {j} finish");
+        assert_eq!(a.procs, b.procs, "job {j} procs");
+    }
+    assert_eq!(fast.trace.transfers.len(), reference.trace.transfers.len());
+    assert!(
+        !fast.trace.transfers.is_empty(),
+        "the schedule redistributes data"
+    );
+    for (t, (a, b)) in fast
+        .trace
+        .transfers
+        .iter()
+        .zip(&reference.trace.transfers)
+        .enumerate()
+    {
+        let (a, b) = (
+            a.as_ref().expect("transfer delivered"),
+            b.as_ref().expect("transfer delivered"),
+        );
+        assert_eq!(a.start.to_bits(), b.start.to_bits(), "transfer {t} start");
+        assert_eq!(
+            a.finish.to_bits(),
+            b.finish.to_bits(),
+            "transfer {t} finish"
+        );
+        assert_eq!(a.bytes.to_bits(), b.bytes.to_bits(), "transfer {t} bytes");
+    }
+}
